@@ -46,6 +46,7 @@ use tps_core::pipeline::{two_phase_select_traced, PipelineConfig};
 use tps_core::recall::RecallConfig;
 use tps_core::select::fine::FineSelectionConfig;
 use tps_core::telemetry::{budget, Telemetry, TraceReport};
+use tps_serve::loadgen::nearest_rank;
 use tps_serve::protocol::{extract_result, status_of};
 use tps_serve::{
     run_open_loop, Client, LoadgenPlan, Request, SelectionResult, ServeConfig, ServeSummary, Server,
@@ -201,14 +202,6 @@ fn check_against_budgets(trace: &TraceReport, what: &str) {
         "{what} trace violates budgets: {:?}",
         outcome.violations
     );
-}
-
-fn percentile(sorted: &[u64], p: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let idx = ((sorted.len() - 1) as f64 * p).round() as usize;
-    sorted[idx.min(sorted.len() - 1)]
 }
 
 fn clip(line: &str) -> &str {
@@ -584,9 +577,9 @@ pub fn loadgen() -> Report {
         storm,
         expected.len(),
         stats.cache_hits,
-        percentile(&latencies, 0.50),
-        percentile(&latencies, 0.95),
-        percentile(&latencies, 1.0),
+        nearest_rank(&latencies, 50),
+        nearest_rank(&latencies, 95),
+        nearest_rank(&latencies, 100),
         overload.stats.rejected,
         overload.stats.deadline_rejected,
     );
@@ -632,9 +625,9 @@ pub fn loadgen() -> Report {
         overload_requests: overload.stats.requests,
         overload_rejected: overload.stats.rejected,
         deadline_rejected: overload.stats.deadline_rejected,
-        latency_p50_us: percentile(&latencies, 0.50),
-        latency_p95_us: percentile(&latencies, 0.95),
-        latency_max_us: percentile(&latencies, 1.0),
+        latency_p50_us: nearest_rank(&latencies, 50),
+        latency_p95_us: nearest_rank(&latencies, 95),
+        latency_max_us: nearest_rank(&latencies, 100),
         window_p50_us: summary.window.p50_us,
         window_p95_us: summary.window.p95_us,
         window_p99_us: summary.window.p99_us,

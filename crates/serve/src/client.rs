@@ -5,7 +5,7 @@
 //! answered twice is answered byte-identically, so a retry can never
 //! observe a second, different result.
 
-use std::io::{self, BufRead, BufReader, Read, Write};
+use std::io::{self, BufRead, BufReader, Read};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
@@ -51,6 +51,7 @@ impl Client {
     }
 
     fn from_stream(stream: TcpStream) -> io::Result<Self> {
+        stream.set_nodelay(true)?;
         let writer = stream.try_clone()?;
         Ok(Client {
             reader: BufReader::new(stream),
@@ -60,9 +61,7 @@ impl Client {
 
     /// Send one raw request line.
     pub fn send_line(&mut self, line: &str) -> io::Result<()> {
-        self.writer.write_all(line.as_bytes())?;
-        self.writer.write_all(b"\n")?;
-        self.writer.flush()
+        protocol::write_line(&mut self.writer, line)
     }
 
     /// Read one response line (without the trailing newline). Bounded:

@@ -15,7 +15,8 @@
 //!   byte-identically. A single-flight gate collapses concurrent
 //!   identical requests into one execution.
 //! * [`protocol`] — the wire format: requests, hand-assembled response
-//!   envelopes (so cached bytes survive verbatim), and the fingerprint.
+//!   envelopes (so cached bytes survive verbatim), the fingerprint, and
+//!   [`protocol::write_line`], the one write path every line takes.
 //! * [`server`] — the worker pool (run through `tps_core::parallel`),
 //!   per-request deadlines and epoch budgets (evaluated by the budget
 //!   engine, surfaced as response violations), and graceful drain: on
@@ -45,7 +46,8 @@
 //!   function of `(generation, target, model)`.
 //! * [`loadgen`] — a deterministic open-loop arrival client: fixed-seed,
 //!   Poisson-free schedule, pipelined connections, latencies measured
-//!   from scheduled arrival through the same window machinery.
+//!   from scheduled arrival and reported as nearest-rank percentiles of
+//!   the raw samples.
 //!
 //! Determinism contract: for a fixed set of select requests (and cache
 //! capacity at least the number of distinct fingerprints), responses,

@@ -13,11 +13,11 @@
 //! `split_seed(seed, n) % targets.len()` — the same SplitMix64 mix the
 //! parallel layer uses — so two runs with the same plan issue the
 //! byte-identical request sequence. Requests round-robin across `conns`
-//! pipelined connections; latencies feed the same rolling-window
-//! histogram machinery the server uses ([`crate::window`]), sized to
-//! cover the whole run.
+//! pipelined connections; every latency sample is kept, and the reported
+//! percentiles are nearest-rank over the raw samples — each one a
+//! measured latency, so p50 ≤ p95 ≤ p99 ≤ max always holds.
 
-use std::io::{self, BufRead, BufReader, Write};
+use std::io::{self, BufRead, BufReader};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -26,8 +26,7 @@ use std::time::{Duration, Instant};
 use serde::{Deserialize, Serialize};
 use tps_core::parallel::split_seed;
 
-use crate::protocol::Request;
-use crate::window::{RollingWindow, SLOT_MS};
+use crate::protocol::{self, Request};
 
 /// One deterministic open-loop schedule.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -79,8 +78,8 @@ pub struct LoadgenReport {
     pub errors: u64,
     /// Wall-clock from first scheduled arrival to last response.
     pub elapsed_us: u64,
-    /// Latency percentiles over the whole run, measured from each
-    /// request's *scheduled* arrival.
+    /// Nearest-rank latency percentiles over every answered request,
+    /// measured from each request's *scheduled* arrival.
     pub p50_us: u64,
     /// 95th percentile.
     pub p95_us: u64,
@@ -112,22 +111,21 @@ pub fn run_open_loop(addr: &str, plan: &LoadgenPlan) -> io::Result<LoadgenReport
         ));
     }
     let streams: Vec<TcpStream> = (0..plan.conns)
-        .map(|_| TcpStream::connect(addr))
+        .map(|_| {
+            let stream = TcpStream::connect(addr)?;
+            stream.set_nodelay(true)?;
+            Ok(stream)
+        })
         .collect::<io::Result<_>>()?;
     let writers: Vec<TcpStream> = streams
         .iter()
         .map(TcpStream::try_clone)
         .collect::<io::Result<_>>()?;
 
-    // Window sized to cover the whole run plus a response tail, so no
-    // latency expires out of the histogram before the percentile read.
-    let run_ms = (plan.requests as u64).saturating_mul(plan.interval_us) / 1_000;
-    let slots = (2 * run_ms / SLOT_MS + 120) as usize;
-    let window = Mutex::new(RollingWindow::new(slots, SLOT_MS));
+    let samples = Mutex::new(Vec::new());
     let ok = AtomicU64::new(0);
     let overloaded = AtomicU64::new(0);
     let errors = AtomicU64::new(0);
-    let max_us = AtomicU64::new(0);
 
     // Per-connection request counts: connection c carries requests
     // c, c+conns, c+2·conns, …
@@ -139,8 +137,8 @@ pub fn run_open_loop(addr: &str, plan: &LoadgenPlan) -> io::Result<LoadgenReport
     std::thread::scope(|s| -> io::Result<()> {
         for (c, stream) in streams.into_iter().enumerate() {
             let expected = per_conn[c];
-            let window = &window;
-            let (ok, overloaded, errors, max_us) = (&ok, &overloaded, &errors, &max_us);
+            let samples = &samples;
+            let (ok, overloaded, errors) = (&ok, &overloaded, &errors);
             let interval_us = plan.interval_us;
             s.spawn(move || {
                 let mut reader = BufReader::new(stream);
@@ -165,8 +163,10 @@ pub fn run_open_loop(addr: &str, plan: &LoadgenPlan) -> io::Result<LoadgenReport
                     let n = env.id - 1;
                     let sched = Duration::from_micros(n.saturating_mul(interval_us));
                     let latency_us = t0.elapsed().saturating_sub(sched).as_micros() as u64;
-                    window.lock().unwrap().observe_us(latency_us);
-                    max_us.fetch_max(latency_us, Ordering::Relaxed);
+                    samples
+                        .lock()
+                        .expect("no receiver panics holding the sample lock")
+                        .push(latency_us);
                     match env.status.as_str() {
                         "ok" => ok.fetch_add(1, Ordering::Relaxed),
                         "overloaded" => overloaded.fetch_add(1, Ordering::Relaxed),
@@ -200,26 +200,71 @@ pub fn run_open_loop(addr: &str, plan: &LoadgenPlan) -> io::Result<LoadgenReport
             let w = &mut writers[n % plan.conns];
             // A severed connection is tolerated: its receiver charges the
             // unanswered remainder as errors.
-            let _ = w
-                .write_all(line.as_bytes())
-                .and_then(|_| w.write_all(b"\n"))
-                .and_then(|_| w.flush());
+            let _ = protocol::write_line(w, &line);
         }
         Ok(())
     })?;
 
     let elapsed_us = t0.elapsed().as_micros() as u64;
-    let mut window = window.into_inner().unwrap();
-    let p = window.percentiles();
+    let mut samples = samples
+        .into_inner()
+        .expect("no receiver panics holding the sample lock");
+    samples.sort_unstable();
     Ok(LoadgenReport {
         requests: plan.requests as u64,
         ok: ok.into_inner(),
         overloaded: overloaded.into_inner(),
         errors: errors.into_inner(),
         elapsed_us,
-        p50_us: p.p50_us,
-        p95_us: p.p95_us,
-        p99_us: p.p99_us,
-        max_us: max_us.into_inner(),
+        p50_us: nearest_rank(&samples, 50),
+        p95_us: nearest_rank(&samples, 95),
+        p99_us: nearest_rank(&samples, 99),
+        max_us: samples.last().copied().unwrap_or(0),
     })
+}
+
+/// Nearest-rank `pct`-th percentile (1..=100) of ascending `sorted`: the
+/// sample at 1-based rank ⌈pct·n/100⌉. Always a recorded sample, so never
+/// above the maximum; 0 for an empty set.
+pub fn nearest_rank(sorted: &[u64], pct: usize) -> u64 {
+    let n = sorted.len();
+    if n == 0 {
+        return 0;
+    }
+    let rank = (pct * n).div_ceil(100).clamp(1, n);
+    sorted[rank - 1]
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn nearest_rank_picks_samples_in_order() {
+        let sorted: Vec<u64> = (1..=200).collect();
+        assert_eq!(nearest_rank(&sorted, 50), 100);
+        assert_eq!(nearest_rank(&sorted, 95), 190);
+        assert_eq!(nearest_rank(&sorted, 99), 198);
+        assert_eq!(nearest_rank(&sorted, 100), 200);
+        assert_eq!(nearest_rank(&[7], 50), 7);
+        assert_eq!(nearest_rank(&[], 99), 0);
+    }
+
+    #[test]
+    fn percentiles_are_ordered_and_never_above_max() {
+        // A long-tailed set, read at every prefix length.
+        let mut sorted: Vec<u64> = (0..400u64).map(|i| 900 + (i * i) % 44_000).collect();
+        sorted.sort_unstable();
+        for n in 1..=sorted.len() {
+            let s = &sorted[..n];
+            let (p50, p95, p99) = (
+                nearest_rank(s, 50),
+                nearest_rank(s, 95),
+                nearest_rank(s, 99),
+            );
+            let max = *s.last().unwrap();
+            assert!(p50 <= p95 && p95 <= p99 && p99 <= max, "n={n}");
+            assert!(s.contains(&p50) && s.contains(&p95) && s.contains(&p99));
+        }
+    }
 }

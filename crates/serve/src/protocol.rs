@@ -5,6 +5,15 @@
 //! envelopes are assembled by hand from a serialized result payload so a
 //! cache hit can replay the stored payload **byte-identically** — the
 //! envelope never re-serializes a result it did not compute.
+//!
+//! Framing rule: every line goes out through [`write_line`] — line and
+//! terminator in one write — on a `TCP_NODELAY` socket, in both
+//! directions. A line sent as two writes (payload, then `"\n"`) leaves
+//! the newline to Nagle's algorithm, which holds it until the peer ACKs
+//! the payload, and the peer delays that ACK by up to 40 ms, so each
+//! round trip would wait on the delayed-ACK timer.
+
+use std::io::{self, Write};
 
 use serde::{Deserialize, Serialize};
 use tps_core::pipeline::{OfflineArtifacts, PipelineOutcome};
@@ -209,6 +218,16 @@ pub fn generation_of(line: &str) -> Option<u64> {
     rest[i + ",\"generation\":".len()..].parse().ok()
 }
 
+/// Send one protocol line: `line` and its `'\n'` terminator framed into
+/// one buffer and handed to a single `write_all`, then flushed.
+pub fn write_line<W: Write>(w: &mut W, line: &str) -> io::Result<()> {
+    let mut framed = Vec::with_capacity(line.len() + 1);
+    framed.extend_from_slice(line.as_bytes());
+    framed.push(b'\n');
+    w.write_all(&framed)?;
+    w.flush()
+}
+
 /// Minimal JSON string encoder for envelope and access-log fields.
 pub(crate) fn json_string(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
@@ -273,6 +292,30 @@ mod tests {
         assert_eq!(status_of(&err), Some("overloaded"));
         assert_eq!(extract_result(&err), None);
         assert_eq!(generation_of(&err), None);
+    }
+
+    /// Records every `write` call it receives.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: Vec<Vec<u8>>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes.push(buf.to_vec());
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn write_line_sends_line_and_newline_in_one_write() {
+        let mut w = CountingWriter::default();
+        write_line(&mut w, r#"{"op":"ping"}"#).unwrap();
+        assert_eq!(w.writes, vec![b"{\"op\":\"ping\"}\n".to_vec()]);
     }
 
     #[test]

@@ -1540,9 +1540,10 @@ struct Conn {
 }
 
 impl Conn {
-    /// Switch the stream to nonblocking reads and spawn the connection's
-    /// writer thread into the server scope. `None` when the socket can't
-    /// be configured or cloned (the caller counts a conn error).
+    /// Switch the stream to nonblocking reads and `TCP_NODELAY` (see
+    /// [`protocol::write_line`]) and spawn the connection's writer thread
+    /// into the server scope. `None` when the socket can't be configured
+    /// or cloned (the caller counts a conn error).
     fn open<'scope, 'env>(
         s: &'scope std::thread::Scope<'scope, 'env>,
         sh: &'env Shared,
@@ -1550,6 +1551,7 @@ impl Conn {
         stream: TcpStream,
     ) -> Option<Conn> {
         stream.set_nonblocking(true).ok()?;
+        stream.set_nodelay(true).ok()?;
         let write_half = stream.try_clone().ok()?;
         let (tx, rx) = mpsc::channel::<String>();
         let faults = Arc::clone(&config.net_faults);
@@ -1603,11 +1605,7 @@ fn writer_loop(
     for line in rx {
         match plan.next(NetFaultSite::Response) {
             None => {
-                let sent = stream
-                    .write_all(line.as_bytes())
-                    .and_then(|_| stream.write_all(b"\n"))
-                    .and_then(|_| stream.flush());
-                if sent.is_err() {
+                if protocol::write_line(&mut stream, &line).is_err() {
                     // client gone; senders never block on the channel
                     bump_conn_errors(sh);
                     return;

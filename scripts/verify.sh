@@ -188,6 +188,34 @@ wait "$obs_pid"
 ./target/release/tps trace check "$trace_tmp/obs-trace.json" \
   --budgets budgets.toml
 
+echo "==> wire-latency gate (50 sequential pings on one connection)"
+# Mirrors CI's serve-smoke job. Every protocol line must leave in one
+# write on a TCP_NODELAY socket. A line sent as payload + newline waits
+# on Nagle's algorithm and the peer's delayed ACK, 44-88 ms per round
+# trip (2.2-4.4 s for these 50 pings); one write per line takes about
+# 1 ms each, so 1 s is a wide margin either way.
+for _ in $(seq 1 50); do echo '{"op":"ping"}'; done > "$trace_tmp/pings.jsonl"
+./target/release/tps serve --world "$trace_tmp/cv-world.json" \
+  --artifacts "$trace_tmp/cv-default.json" \
+  --ready-file "$trace_tmp/wire-ready" > /dev/null &
+wire_pid=$!
+for _ in $(seq 1 100); do
+  [ -s "$trace_tmp/wire-ready" ] && break
+  sleep 0.1
+done
+wire_addr="$(cat "$trace_tmp/wire-ready")"
+wire_start=$(date +%s%N)
+./target/release/tps client --addr "$wire_addr" \
+  --file "$trace_tmp/pings.jsonl" > "$trace_tmp/pongs.txt"
+wire_ms=$(( ($(date +%s%N) - wire_start) / 1000000 ))
+./target/release/tps client --addr "$wire_addr" --shutdown true > /dev/null
+wait "$wire_pid"
+[ "$(grep -c '"status":"ok"' "$trace_tmp/pongs.txt")" = "50" ] \
+  || { echo "not every ping was answered ok"; exit 1; }
+[ "$wire_ms" -lt 1000 ] \
+  || { echo "50 sequential pings took ${wire_ms} ms (gate: < 1000 ms)"; exit 1; }
+echo "50 sequential pings in ${wire_ms} ms"
+
 echo "==> chaos-serve gate (repro chaos-serve + real crash-recovery drill)"
 # Mirrors CI's chaos-serve-smoke job. Part 1: the in-process chaos
 # experiment — commit crash matrix, scheduled connection faults with

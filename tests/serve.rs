@@ -671,3 +671,63 @@ fn reload_without_a_source_is_a_structured_error() {
     assert_eq!(summary.stats.reloads, 0);
     assert_eq!(summary.stats.generation, 1);
 }
+
+/// Wire latency: sequential round trips on one connection must not wait
+/// on Nagle's algorithm or the peer's delayed ACK. Sending a line and its
+/// newline as two writes costs 44–86 ms per round trip (1.3–2.6 s for
+/// these 30 pings on a 2-thread Linux host); one write per line on
+/// `TCP_NODELAY` sockets takes about 1 ms each.
+#[test]
+fn sequential_pings_do_not_wait_on_delayed_acks() {
+    let bundle = WorldBundle::from_world(small_world(7));
+    let server = Server::bind(&bundle.world, &bundle.artifacts, serve_config(1)).unwrap();
+    let addr = server.addr().to_string();
+    let elapsed = std::thread::scope(|s| {
+        let handle = s.spawn(|| server.run().expect("server drains cleanly"));
+        let mut client = Client::connect(&addr).unwrap();
+        let started = std::time::Instant::now();
+        for id in 1..=30 {
+            let pong = client.request(&Request::control(id, "ping")).unwrap();
+            assert_eq!(status_of(&pong), Some("ok"), "{pong}");
+        }
+        let elapsed = started.elapsed();
+        client.request(&Request::control(999, "shutdown")).unwrap();
+        handle.join().unwrap();
+        elapsed
+    });
+    assert!(
+        elapsed < std::time::Duration::from_millis(300),
+        "30 sequential pings took {elapsed:?}"
+    );
+}
+
+/// The open-loop generator reports nearest-rank percentiles of its raw
+/// samples: ordered, and never above the slowest request.
+#[test]
+fn loadgen_percentiles_are_ordered_and_bounded_by_max() {
+    let bundle = WorldBundle::from_world(small_world(7));
+    let server = Server::bind(&bundle.world, &bundle.artifacts, serve_config(2)).unwrap();
+    let addr = server.addr().to_string();
+    let plan = tps_serve::LoadgenPlan {
+        requests: 60,
+        interval_us: 500,
+        conns: 2,
+        seed: 3,
+        targets: vec!["target-0".to_string(), "target-1".to_string()],
+        top_k: None,
+    };
+    let report = std::thread::scope(|s| {
+        let handle = s.spawn(|| server.run().expect("server drains cleanly"));
+        let report = tps_serve::run_open_loop(&addr, &plan).unwrap();
+        let mut client = Client::connect(&addr).unwrap();
+        client.request(&Request::control(999, "shutdown")).unwrap();
+        handle.join().unwrap();
+        report
+    });
+    assert_eq!(report.ok + report.overloaded + report.errors, 60);
+    assert_eq!(report.errors, 0);
+    assert!(report.p50_us <= report.p95_us, "{report:?}");
+    assert!(report.p95_us <= report.p99_us, "{report:?}");
+    assert!(report.p99_us <= report.max_us, "{report:?}");
+    assert!(report.p50_us > 0, "{report:?}");
+}
